@@ -8,8 +8,12 @@ A two-VM setup with continuous traffic while the controller:
    diverting web traffic elsewhere -> bypass torn down on the fly,
 3. deletes the diverting rule      -> bypass re-established.
 
-No packet is lost across either transition; the script prints the
-timeline and the conservation check.
+Nothing is lost inside the switch across either transition, but the
+sender is refused during each teardown's stall: its TX is held
+(``TxState.STALLED``, ring-full backpressure) while the bypass ring's
+leftovers are re-homed onto the switch path, and packets offered in
+that window never leave the VM.  The script prints the timeline and the
+conservation check, with those refusals as their own term.
 
 Run:  python examples/dynamic_rules.py
 """
@@ -86,11 +90,13 @@ def main():
     env.run(until=env.now + 0.01)
 
     generated = source.generated
+    refused = source.tx_failures
     delivered = sink.received + diverted_sink.received
     in_flight = source.pool.size - source.pool.available
-    print("\nconservation: generated=%d delivered=%d in_flight=%d lost=%d"
-          % (generated, delivered, in_flight,
-             generated - delivered - in_flight))
+    print("\nconservation: offered=%d = generated=%d + refused=%d"
+          " = delivered=%d + refused=%d + in_flight=%d + lost=%d"
+          % (generated + refused, generated, refused, delivered, refused,
+             in_flight, generated - delivered - in_flight))
     print("bypass link history: %s" % [
         "%s->%s %s" % (l.src_port_name, l.dst_port_name, l.state.value)
         for l in node.manager.history

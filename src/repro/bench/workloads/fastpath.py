@@ -1,5 +1,5 @@
-"""Fast-path benchmark family: vectorized vs scalar, precise vs
-generation-wipe EMC invalidation (formerly ``scripts/bench_baseline.py``).
+"""Fast-path benchmark family: vectorized vs scalar, EMC survival under
+rule churn (formerly ``scripts/bench_baseline.py``).
 
 Runs a small, deterministic set of workloads and produces one schema-v1
 document (family tag ``repro-bench-fastpath/1``) recording throughput,
@@ -91,15 +91,15 @@ def chain_fastpath(vectorized, duration, flows=64, burst_size=32):
     }
 
 
-def emc_invalidation_workload(mode, bursts, flows=32, burst_size=32,
+def emc_invalidation_workload(bursts, flows=32, burst_size=32,
                               churn_every=4):
     """Rolling-flowmod workload: steady traffic over ``flows`` UDP flows
     while unrelated rules are added and deleted every ``churn_every``
     bursts.  Precise invalidation keeps the traffic's EMC entries alive
-    across the churn; generation wipe loses the whole cache each time.
+    across the churn, so the only misses are the compulsory first one
+    per flow.
     """
-    switch = VSwitchd(name="bench-emc-%s" % mode)
-    switch.datapath.emc_invalidation = mode
+    switch = VSwitchd(name="bench-emc")
     rx = switch.add_dpdkr_port("rx")
     tx = switch.add_dpdkr_port("tx")
     switch.bridge.table.add(FlowEntry(
@@ -124,7 +124,6 @@ def emc_invalidation_workload(mode, bursts, flows=32, burst_size=32,
         tx.rings.to_guest.dequeue_burst(burst_size)
     emc = switch.datapath.emc
     return {
-        "invalidation": mode,
         "flows": flows,
         "bursts": bursts,
         "flowmods": 2 * ((bursts - 1) // churn_every),
@@ -247,11 +246,11 @@ def run_checks(doc):
          vec["throughput_mpps"] >= scalar["throughput_mpps"],
          "%.4f >= %.4f" % (vec["throughput_mpps"],
                            scalar["throughput_mpps"])),
-        ("precise_invalidation_higher_hit_rate",
-         inval["precise"]["emc_hit_rate"]
-         > inval["generation"]["emc_hit_rate"],
-         "%.4f > %.4f" % (inval["precise"]["emc_hit_rate"],
-                          inval["generation"]["emc_hit_rate"])),
+        ("precise_invalidation_only_compulsory_misses",
+         inval["precise"]["emc_misses"] == inval["precise"]["flows"],
+         "%d misses for %d flows across %d flowmods"
+         % (inval["precise"]["emc_misses"], inval["precise"]["flows"],
+            inval["precise"]["flowmods"])),
         ("bypass_beats_vanilla_nic_chain",
          fig3b["bypass"]["throughput_mpps"]
          > fig3b["vanilla"]["throughput_mpps"],
@@ -294,7 +293,7 @@ REQUIRED_FASTPATH_KEYS = {
     "avg_batch_fill", "batch_fill_histogram", "packets_processed",
 }
 REQUIRED_INVALIDATION_KEYS = {
-    "invalidation", "flows", "bursts", "flowmods", "emc_hit_rate",
+    "flows", "bursts", "flowmods", "emc_hit_rate",
     "emc_hits", "emc_misses", "precise_evictions",
 }
 REQUIRED_MEGAFLOW_KEYS = {
@@ -318,13 +317,11 @@ def validate(doc):
         if missing:
             problems.append("fig3a_fastpath.%s missing %s"
                             % (variant, missing))
-    inval = workloads.get("emc_invalidation", {})
-    for variant in ("precise", "generation"):
-        missing = missing_keys(inval.get(variant),
-                               REQUIRED_INVALIDATION_KEYS)
-        if missing:
-            problems.append("emc_invalidation.%s missing %s"
-                            % (variant, missing))
+    missing = missing_keys(
+        workloads.get("emc_invalidation", {}).get("precise"),
+        REQUIRED_INVALIDATION_KEYS)
+    if missing:
+        problems.append("emc_invalidation.precise missing %s" % missing)
     for name in ("fig3b_nic_chain", "latency_chain"):
         for variant in ("vanilla", "bypass"):
             if variant not in workloads.get(name, {}):
@@ -386,8 +383,7 @@ def run_bench(quick, seed=None):
     print("[2/5] EMC invalidation under rolling flowmods...",
           file=sys.stderr)
     workloads["emc_invalidation"] = {
-        "precise": emc_invalidation_workload("precise", churn_bursts),
-        "generation": emc_invalidation_workload("generation", churn_bursts),
+        "precise": emc_invalidation_workload(churn_bursts),
     }
 
     print("[3/5] fig3b NIC chain, bypass vs vanilla...", file=sys.stderr)

@@ -1,13 +1,12 @@
 """Overload control benchmark family: miss storms and controller
 outages (formerly ``scripts/bench_overload.py``).
 
-Two scenarios, four runs, one document (family tag
+Two scenarios, three runs, one document (family tag
 ``repro-bench-overload/1``):
 
 * ``storm`` — one PMD core forwards a cache-hitting "good" flow while a
-  second port offers a miss storm at twice the good load; ``inline``
-  handles every miss on the fast path, ``bounded`` runs the bounded
-  upcall queue plus the RX overload monitor.
+  second port offers a miss storm at twice the good load, with the
+  bounded upcall queue plus the RX overload monitor (``bounded``).
 * ``outage`` — a switch forwarding controller-installed flows loses its
   controller mid-run while new traffic appears; ``standalone`` falls
   back to local L2 learning, ``secure`` buffers packet-ins and freezes
@@ -69,18 +68,16 @@ def mac_profile(name, src_mac, dst_mac, flows=2):
 # -- scenario 1: miss storm ---------------------------------------------------
 
 
-def run_storm_variant(variant, duration, warmup):
-    """One storm run; ``variant`` is ``inline`` or ``bounded``."""
+def run_storm(duration, warmup):
+    """The storm run: bounded upcall queue plus the overload monitor."""
     env = Environment()
-    bounded = variant == "bounded"
     switch = VSwitchd(
         env=env, connection=ControllerConnection(), name="bench-overload",
-        bounded_upcalls=bounded,
-        upcall_policy=(UpcallPolicy(
+        upcall_policy=UpcallPolicy(
             max_queue=512, control_reserve=32, port_quota=256,
             port_rate_pps=2000.0, port_burst=64.0, dispatch_batch=8,
-        ) if bounded else None),
-        overload=bounded,
+        ),
+        overload=True,
     )
     good_rx = switch.add_dpdkr_port("good-rx", ofport=1)
     storm_rx = switch.add_dpdkr_port("storm-rx", ofport=2)
@@ -111,7 +108,6 @@ def run_storm_variant(variant, duration, warmup):
     queue = switch.upcall_queue
     connection = switch.bridge.connection
     out = {
-        "variant": variant,
         "good_offered_pps": GOOD_PPS,
         "storm_offered_pps": GOOD_PPS * STORM_RATIO,
         "goodput_mpps": round(delivered / duration / 1e6, 4),
@@ -124,9 +120,7 @@ def run_storm_variant(variant, duration, warmup):
             connection.dropped_to_controller,
         "core_busy": [round(loop.utilization, 4)
                       for loop in switch._pmd_loops],
-    }
-    if queue is not None:
-        out["queue"] = {
+        "queue": {
             "max_queue": queue.policy.max_queue,
             "depth": queue.depth,
             "high_watermark": queue.high_watermark,
@@ -134,9 +128,9 @@ def run_storm_variant(variant, duration, warmup):
             "dispatched": queue.dispatched,
             "shed_total": queue.shed_total,
             "shed": dict(queue.shed),
-        }
-    if switch.overload is not None:
-        out["monitor"] = switch.overload.stats()
+        },
+        "monitor": switch.overload.stats(),
+    }
     switch.stop()
     for app in (source_good, source_storm, sink):
         app.stop()
@@ -238,8 +232,7 @@ def run_outage_variant(mode, settle, pre_run, outage_len):
         "forwarded_mpps": round(
             (old_delivered + new_delivered) / outage_len / 1e6, 4),
         "new_pair_mpps": round(new_delivered / outage_len / 1e6, 4),
-        "queue_high_watermark": (queue.high_watermark
-                                 if queue is not None else 0),
+        "queue_high_watermark": queue.high_watermark,
         "pending_packet_ins": failmode.pending_packet_ins,
         "packet_ins_buffered": failmode.packet_ins_buffered,
         "packet_ins_shed": failmode.packet_ins_shed,
@@ -284,7 +277,7 @@ def run_outage_variant(mode, settle, pre_run, outage_len):
             "dropped_to_controller": connection.dropped_to_controller,
             "dropped_disconnected": connection.dropped_disconnected,
         },
-        "queue_max": queue.policy.max_queue if queue is not None else 0,
+        "queue_max": queue.policy.max_queue,
         "pending_packet_ins_max":
             failmode.policy.max_pending_packet_ins,
     }
@@ -299,7 +292,6 @@ def run_outage_variant(mode, settle, pre_run, outage_len):
 
 def run_checks(doc):
     """The overload invariants; each returns (name, passed, detail)."""
-    inline = doc["storm"]["inline"]
     bounded = doc["storm"]["bounded"]
     standalone = doc["outage"]["standalone"]
     secure = doc["outage"]["secure"]
@@ -319,15 +311,10 @@ def run_checks(doc):
         <= variant["connection"]["max_pending"]
         for variant in (standalone, secure))
     return [
-        ("storm_goodput_with_control_not_worse",
-         bounded["goodput_mpps"] >= inline["goodput_mpps"],
-         "%.4f >= %.4f Mpps at %.1fx storm load"
-         % (bounded["goodput_mpps"], inline["goodput_mpps"],
-            STORM_RATIO)),
-        ("storm_degrades_uncontrolled_goodput",
-         inline["goodput_mpps"] < GOOD_PPS / 1e6 * 0.5,
-         "inline %.4f Mpps of %.1f offered"
-         % (inline["goodput_mpps"], GOOD_PPS / 1e6)),
+        ("storm_goodput_with_control_holds",
+         bounded["goodput_mpps"] >= 0.9 * GOOD_PPS / 1e6,
+         "%.4f >= 0.9 x %.1f Mpps good load at %.1fx storm load"
+         % (bounded["goodput_mpps"], GOOD_PPS / 1e6, STORM_RATIO)),
         ("storm_upcall_conservation", conserved and rx_conserved,
          "%d upcalls = %d dispatched + %d queued + %d shed; "
          "%d rx = upcalls + %d early drops"
@@ -393,9 +380,9 @@ def run_checks(doc):
 # -- schema -------------------------------------------------------------------
 
 REQUIRED_STORM_KEYS = {
-    "variant", "good_offered_pps", "storm_offered_pps", "goodput_mpps",
+    "good_offered_pps", "storm_offered_pps", "goodput_mpps",
     "delivered", "storm_rx_packets", "upcalls_no_match",
-    "rx_early_drops", "packet_ins_sent", "core_busy",
+    "rx_early_drops", "packet_ins_sent", "core_busy", "queue",
 }
 
 REQUIRED_OUTAGE_KEYS = {
@@ -407,17 +394,13 @@ REQUIRED_OUTAGE_KEYS = {
 def validate(doc):
     """Structural schema check; returns a list of problems (empty = ok)."""
     problems = validate_document(doc, family=FAMILY)
-    storm = doc.get("storm", {})
-    for name in ("inline", "bounded"):
-        variant = storm.get(name)
-        if variant is None:
-            problems.append("missing storm variant %s" % name)
-            continue
-        missing = missing_keys(variant, REQUIRED_STORM_KEYS)
+    bounded = doc.get("storm", {}).get("bounded")
+    if bounded is None:
+        problems.append("missing storm variant bounded")
+    else:
+        missing = missing_keys(bounded, REQUIRED_STORM_KEYS)
         if missing:
-            problems.append("storm %s missing %s" % (name, missing))
-        if name == "bounded" and "queue" not in variant:
-            problems.append("storm bounded missing queue")
+            problems.append("storm bounded missing %s" % missing)
     outage = doc.get("outage", {})
     for name in ("standalone", "secure"):
         variant = outage.get(name)
@@ -438,7 +421,6 @@ def trend_metrics(doc):
     outage = doc["outage"]
     return {
         "bounded_goodput_mpps": storm["bounded"]["goodput_mpps"],
-        "inline_goodput_mpps": storm["inline"]["goodput_mpps"],
         "standalone_outage_mpps":
             outage["standalone"]["during_outage"]["forwarded_mpps"],
         "secure_flows_preserved": float(
@@ -466,12 +448,10 @@ def run_bench(quick, seed=None):
     })
     doc["storm"] = {}
     doc["outage"] = {}
-    for step, variant in enumerate(("inline", "bounded"), 1):
-        print("[%d/4] storm %s..." % (step, variant), file=sys.stderr)
-        doc["storm"][variant] = run_storm_variant(
-            variant, storm_duration, storm_warmup)
-    for step, mode in enumerate(("standalone", "secure"), 3):
-        print("[%d/4] outage %s..." % (step, mode), file=sys.stderr)
+    print("[1/3] storm bounded...", file=sys.stderr)
+    doc["storm"]["bounded"] = run_storm(storm_duration, storm_warmup)
+    for step, mode in enumerate(("standalone", "secure"), 2):
+        print("[%d/3] outage %s..." % (step, mode), file=sys.stderr)
         doc["outage"][mode] = run_outage_variant(
             mode, settle, pre_run, outage_len)
     return attach_checks(doc, run_checks(doc))

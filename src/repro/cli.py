@@ -91,8 +91,6 @@ def _overload_kwargs(args: argparse.Namespace) -> dict:
     kwargs = {}
     if getattr(args, "fail_mode", None) is not None:
         kwargs["fail_mode"] = args.fail_mode
-    if getattr(args, "unbounded_upcalls", False):
-        kwargs["bounded_upcalls"] = False
     if getattr(args, "overload_control", False):
         kwargs["overload"] = True
     if getattr(args, "upcall_max_queue", None) is not None:
@@ -265,9 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("standalone", "secure"),
                        help="controller fail mode "
                             "(default: standalone)")
-        p.add_argument("--unbounded-upcalls", action="store_true",
-                       help="use the legacy inline upcall path instead "
-                            "of the bounded queue")
         p.add_argument("--upcall-max-queue", type=int, default=None,
                        metavar="N",
                        help="bounded upcall queue depth (default: 256)")

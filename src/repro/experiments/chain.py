@@ -123,7 +123,6 @@ class ChainExperiment:
         rxq_assign: str = "roundrobin",
         auto_lb: bool = False,
         auto_lb_policy=None,
-        bounded_upcalls: bool = True,
         upcall_policy=None,
         fail_mode: str = "standalone",
         overload: bool = False,
@@ -163,7 +162,6 @@ class ChainExperiment:
         self.rxq_assign = rxq_assign
         self.auto_lb = auto_lb
         self.auto_lb_policy = auto_lb_policy
-        self.bounded_upcalls = bounded_upcalls
         self.upcall_policy = upcall_policy
         self.fail_mode = fail_mode
         self.overload = overload
@@ -226,7 +224,6 @@ class ChainExperiment:
             rxq_assign=self.rxq_assign,
             auto_lb=self.auto_lb,
             auto_lb_policy=self.auto_lb_policy,
-            bounded_upcalls=self.bounded_upcalls,
             upcall_policy=self.upcall_policy,
             fail_mode=self.fail_mode,
             overload=self.overload,

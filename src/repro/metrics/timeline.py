@@ -108,13 +108,13 @@ def attach_overload_tracing(timeline: EventTimeline, switch) -> None:
 
     Covers all three layers: upcall sheds from the bounded queue,
     controller outage/recovery transitions from the fail-mode manager,
-    and RX shed level changes from the overload monitor.  Each source is
-    optional — only what the switch actually has gets wired.
+    and RX shed level changes from the overload monitor.  The last two
+    are optional — only what the switch actually has gets wired.
     """
     def listener(event, attrs):
         timeline.record(event, **attrs)
 
-    for source in (getattr(switch, "upcall_queue", None),
+    for source in (switch.upcall_queue,
                    getattr(switch, "failmode", None),
                    getattr(switch, "overload", None)):
         if source is not None:

@@ -188,7 +188,7 @@ class Observability:
         labels = {"switch": name}
         datapath = switch.datapath
         coverage = self.registry.coverage
-        queue = getattr(switch, "upcall_queue", None)
+        queue = switch.upcall_queue
         failmode = getattr(switch, "failmode", None)
         monitor = getattr(switch, "overload", None)
         for hooked in (queue, failmode, monitor):

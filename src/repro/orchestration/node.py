@@ -67,13 +67,11 @@ class NfvNode:
         rxq_assign: str = "roundrobin",
         auto_lb: bool = False,
         auto_lb_policy: Optional["AutoLbPolicy"] = None,
-        bounded_upcalls: bool = True,
         upcall_policy=None,
         fail_mode: str = "standalone",
         failmode_policy=None,
         overload: bool = False,
         overload_policy=None,
-        megaflow_enabled: bool = True,
     ) -> None:
         self.env = env
         self.costs = costs
@@ -94,14 +92,12 @@ class NfvNode:
             auto_lb=auto_lb,
             auto_lb_policy=(auto_lb_policy if auto_lb_policy is not None
                             else DEFAULT_AUTO_LB_POLICY),
-            bounded_upcalls=bounded_upcalls,
             upcall_policy=upcall_policy,
             fail_mode=fail_mode,
             failmode_policy=failmode_policy,
             overload=overload,
             overload_policy=overload_policy,
         )
-        self.switch.datapath.megaflow_enabled = megaflow_enabled
         if self.switch.failmode is not None:
             self.switch.failmode.faults = faults
         self.controller = SimpleController(self.connection)

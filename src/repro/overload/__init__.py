@@ -8,7 +8,7 @@ packet-in queues).  This package turns "fast until it falls over" into
 
 * :mod:`repro.overload.upcall` — the bounded upcall path: a per-port
   token bucket plus a depth- and fairness-bounded global queue with
-  priority classes, replacing the inline per-miss upcall;
+  priority classes, every datapath's only route to the slow path;
 * :mod:`repro.overload.failmode` — OVS-style ``fail_mode`` handling for
   controller loss: ``standalone`` falls back to a learning switch,
   ``secure`` freezes flow state, both reconnect with backoff and

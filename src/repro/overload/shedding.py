@@ -126,8 +126,6 @@ class OverloadMonitor:
         datapath = self.switch.datapath
         queue = datapath.upcall_queue
         busy = self._busy_fractions()
-        if queue is None:
-            return 0.0
         fill = queue.depth / max(1, queue.policy.max_queue)
         hot = fill >= self.policy.queue_threshold and (
             not busy

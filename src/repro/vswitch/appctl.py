@@ -173,11 +173,10 @@ def fastpath_show(vswitchd: VSwitchd) -> str:
         "fast path: %s, burst size %d"
         % ("vectorized (flow batches)" if datapath.vectorized
            else "scalar (per-packet)", datapath.burst_size),
-        "lookup tiers: emc=%s smc=%s megaflow=%s invalidation=%s"
+        "lookup tiers: emc=%s smc=%s megaflow=%s invalidation=precise"
         % ("on" if datapath.emc_enabled else "off",
            "on" if datapath.smc_enabled else "off",
-           "on" if datapath.megaflow_enabled else "off",
-           datapath.emc_invalidation),
+           "on" if datapath.megaflow_enabled else "off"),
         "miss chain: emc=%d -> smc=%d -> megaflow=%d -> dpcls=%d "
         "-> upcall=%d"
         % (datapath.emc_hits, datapath.smc_hits, datapath.megaflow_hits,
@@ -565,29 +564,26 @@ def overload_show(vswitchd: VSwitchd) -> str:
     """``appctl overload/show``: upcall queue, fail mode, shedding."""
     lines: List[str] = []
     queue = vswitchd.upcall_queue
-    if queue is None:
-        lines.append("upcall queue: unbounded (legacy inline path)")
-    else:
-        policy = queue.policy
-        lines.append(
-            "upcall queue: depth=%d/%d (control=%d, reserve=%d) "
-            "high_watermark=%d"
-            % (queue.depth, policy.max_queue, queue.control_depth,
-               policy.control_reserve, queue.high_watermark))
-        lines.append(
-            " policy: port_quota=%d port_rate_pps=%g port_burst=%g "
-            "dispatch_batch=%d"
-            % (policy.port_quota, policy.port_rate_pps,
-               policy.port_burst, policy.dispatch_batch))
-        lines.append(
-            " admitted: miss=%d control=%d  dispatched=%d"
-            % (queue.admitted_miss, queue.admitted_control,
-               queue.dispatched))
-        shed = ", ".join("%s=%d" % (why, queue.shed[why])
-                         for why in sorted(queue.shed))
-        lines.append(" shed: total=%d%s"
-                     % (queue.shed_total,
-                        (" (%s)" % shed) if shed else ""))
+    policy = queue.policy
+    lines.append(
+        "upcall queue: depth=%d/%d (control=%d, reserve=%d) "
+        "high_watermark=%d"
+        % (queue.depth, policy.max_queue, queue.control_depth,
+           policy.control_reserve, queue.high_watermark))
+    lines.append(
+        " policy: port_quota=%d port_rate_pps=%g port_burst=%g "
+        "dispatch_batch=%d"
+        % (policy.port_quota, policy.port_rate_pps,
+           policy.port_burst, policy.dispatch_batch))
+    lines.append(
+        " admitted: miss=%d control=%d  dispatched=%d"
+        % (queue.admitted_miss, queue.admitted_control,
+           queue.dispatched))
+    shed = ", ".join("%s=%d" % (why, queue.shed[why])
+                     for why in sorted(queue.shed))
+    lines.append(" shed: total=%d%s"
+                 % (queue.shed_total,
+                    (" (%s)" % shed) if shed else ""))
     failmode = vswitchd.failmode
     if failmode is None:
         lines.append("fail mode: no controller connection")
@@ -648,9 +644,7 @@ def overload_set(vswitchd: VSwitchd, argument: str) -> str:
         except (ValueError, RuntimeError) as exc:
             return "error: %s" % exc
         return "fail_mode=%s" % raw
-    targets = []
-    if vswitchd.upcall_queue is not None:
-        targets.append(vswitchd.upcall_queue.policy)
+    targets = [vswitchd.upcall_queue.policy]
     if vswitchd.overload is not None:
         targets.append(vswitchd.overload.policy)
     for policy in targets:

@@ -38,6 +38,7 @@ from repro.openflow.actions import (
     goto_table_of,
 )
 from repro.openflow.table import FlowEntry, FlowTable
+from repro.overload.upcall import BoundedUpcallQueue
 from repro.packet.flowkey import FlowKey, cached_flow_key
 from repro.packet.headers import Ethernet, IPv4, MacAddress, Tcp, Udp, Vlan
 from repro.packet.mbuf import Mbuf
@@ -76,10 +77,6 @@ class Datapath:
         self.smc_enabled = smc_enabled
         self.megaflow_enabled = megaflow_enabled
         self.vectorized = vectorized
-        # "precise" tombstones only the EMC keys a flowmod affects;
-        # "generation" restores the old whole-cache wipe (kept as the
-        # baseline the invalidation benchmark compares against).
-        self.emc_invalidation = "precise"
         self.emc = ExactMatchCache()
         self.smc = SignatureMatchCache()
         self.megaflow = MegaflowCache()
@@ -95,12 +92,9 @@ class Datapath:
         self.ports: Dict[int, OvsPort] = {}
         self.mirrors: List = []  # repro.vswitch.mirror.Mirror
         self.policers: Dict[int, object] = {}  # ofport -> IngressPolicer
-        # Bounded upcall path (repro.overload.upcall.BoundedUpcallQueue).
-        # None = legacy inline upcalls: the handler runs synchronously at
-        # the miss, with the full slow-path cost charged there.  With a
-        # queue installed, misses are admitted (or shed, accounted) and
-        # dispatched at the end of the poll iteration.
-        self.upcall_queue = None
+        # Bounded upcall path: misses are admitted (or shed, accounted)
+        # and dispatched to the handler at the end of the poll iteration.
+        self.upcall_queue = BoundedUpcallQueue(clock=self.clock)
         # Per-port RX shed levels (fraction of each burst dropped before
         # classification), maintained by the overload monitor.
         self.rx_shed: Dict[int, float] = {}
@@ -137,10 +131,6 @@ class Datapath:
         self.coverage: Optional[Callable[..., None]] = None
 
     def _on_table_change(self, kind: str, entry: FlowEntry) -> None:
-        if self.emc_invalidation != "precise":
-            self.emc.invalidate_all()
-            self.megaflow.flush()
-            return
         if kind == "added":
             # A new rule may outrank cached resolutions for any key it
             # covers (keys are stable across the pipeline: goto+set-field
@@ -224,18 +214,10 @@ class Datapath:
               stages=None) -> float:
         """Hand one packet to the slow path; returns the fast-path cost.
 
-        Legacy mode (no queue): the handler runs inline — its cost was
-        already charged at the lookup miss, so this contributes nothing.
-        Queue mode: the packet is admitted (enqueue cost) or shed
-        (accounted drop, shed cost); the slow-path cost proper is
+        The packet is admitted to the upcall queue (enqueue cost) or
+        shed (accounted drop, shed cost); the slow-path cost proper is
         charged at dispatch.
         """
-        if self.upcall_queue is None:
-            if self.upcall_handler is not None:
-                self.upcall_handler(mbuf, in_port, reason)
-            else:
-                mbuf.free()
-            return 0.0
         if self.upcall_queue.admit(mbuf, in_port, reason):
             cost = self.costs.upcall_enqueue
         else:
@@ -378,16 +360,11 @@ class Datapath:
                     if mbuf.trace is not None:
                         mbuf.trace.add(self.clock(), "upcall",
                                        reason="no_match")
-                    if self.upcall_queue is not None:
-                        # Bounded path: only the failed walk is charged
-                        # here; enqueue/dispatch costs land in _punt.
-                        if stages is not None:
-                            stages.add("miss_upcall", cost, packets=1)
-                        return None, cost
+                    # Only the failed walk is charged here; the enqueue
+                    # and dispatch costs land in _punt and dispatch.
                     if stages is not None:
-                        stages.add("miss_upcall",
-                                   self.costs.ovs_miss_upcall, packets=1)
-                    return None, self.costs.ovs_miss_upcall
+                        stages.add("miss_upcall", cost, packets=1)
+                    return None, cost
                 self.pipeline_drops += 1
                 break
             entries.append(entry)
@@ -433,18 +410,11 @@ class Datapath:
         if traversal is None:
             self.upcalls_no_match += fill
             self._trace_batch(batch, "upcall", reason="no_match")
-            if self.upcall_queue is not None:
-                # Bounded path: charge the failed walk; the enqueue and
-                # dispatch costs are itemized by _punt and dispatch.
-                if stages is not None:
-                    stages.add("miss_upcall", cost, packets=fill)
-                return None, cost
-            upcall_cost = costs.ovs_miss_upcall * fill
+            # Charge the failed walk; the enqueue and dispatch costs
+            # are itemized by _punt and dispatch.
             if stages is not None:
-                stages.add("miss_upcall", upcall_cost, packets=fill)
-            # Like the scalar path, the upcall dominates: the failed
-            # lookup's cost is folded into it rather than itemized.
-            return None, upcall_cost
+                stages.add("miss_upcall", cost, packets=fill)
+            return None, cost
         self.classifier_hits += fill
         if tier == "smc":
             self.smc_hits += fill
@@ -556,7 +526,8 @@ class Datapath:
         """Run an action list; packets to forward land in output_batches.
 
         The mbuf reference is consumed: it is either batched for output,
-        handed to the upcall handler, or freed (drop / unknown port).
+        admitted to (or shed by) the upcall queue, or freed (drop /
+        unknown port).
         """
         consumed = False
         for action in entry_actions:
@@ -565,10 +536,7 @@ class Datapath:
             elif isinstance(action, OutputAction):
                 if action.port == PORT_CONTROLLER:
                     self.upcalls_action += 1
-                    if self.upcall_queue is not None:
-                        self._punt(mbuf, in_port, "action")
-                    elif self.upcall_handler is not None:
-                        self.upcall_handler(mbuf, in_port, "action")
+                    self._punt(mbuf, in_port, "action")
                     consumed = True
                 elif action.port in self.ports:
                     # Multiple outputs clone by reference counting.
@@ -845,8 +813,7 @@ class Datapath:
                 on_port_cost(port, cost, count)
             total_cost += cost
         total_cost += self.flush_outputs(output_batches, stages=stages)
-        if self.upcall_queue is not None:
-            total_cost += self._dispatch_upcalls(stages=stages)
+        total_cost += self._dispatch_upcalls(stages=stages)
         return total_cost
 
     # -- direct injection (packet-out, test harnesses) ---------------------------------

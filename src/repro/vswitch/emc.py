@@ -8,9 +8,7 @@ mirroring real OVS-DPDK:
 * **Precise invalidation.**  A back-index from flow entry to the cached
   keys it serves lets a single flowmod tombstone only the affected keys
   (``invalidate_entry`` / ``invalidate_matching``) instead of wiping the
-  whole cache.  The crude whole-cache *generation* bump is retained as
-  ``invalidate_all`` for callers that want the old behaviour (and as the
-  baseline the benchmarks compare against).
+  whole cache.
 * **Probabilistic insertion.**  Above an occupancy threshold only one in
   ``insert_inv_prob`` new keys is admitted (OVS's ``emc-insert-inv-prob``),
   so elephant flows are not thrashed out by a storm of mice.  The coin is
@@ -20,8 +18,8 @@ mirroring real OVS-DPDK:
   (``stale_evictions`` vs ``evictions``).
 
 Correctness only requires that no stale rule ever forwards a packet
-after a flowmod; a tombstoned key behaves exactly like a stale
-generation (counted as ``stale_hits``, lazily collected on lookup).
+after a flowmod; a tombstoned key keeps its slot until a lookup
+collects it (counted as ``stale_hits``) or the evictor reuses it.
 """
 
 from typing import Dict, Iterable, Optional, Set, Tuple
@@ -33,10 +31,6 @@ from repro.packet.flowkey import FlowKey
 # first).  Unit tests may cache a bare FlowEntry; the cache itself is
 # value-agnostic and only unwraps values to maintain the back-index.
 Traversal = Tuple[FlowEntry, ...]
-
-# Generation stamp marking a precisely-invalidated (tombstoned) key.
-# Real generations start at 0 and only grow, so -1 never validates.
-_TOMBSTONE = -1
 
 # How many oldest entries the evictor probes looking for a stale victim
 # before sacrificing a live one (bounded, like OVC's EM_FLOW_HASH_SHIFT
@@ -68,8 +62,10 @@ class ExactMatchCache:
         # threshold; 1 disables the filter (every insertion admitted).
         self.insert_inv_prob = insert_inv_prob
         self.insert_threshold = insert_threshold
-        self.generation = 0
-        self._entries: Dict[FlowKey, Tuple[int, Traversal]] = {}
+        # key -> (live, traversal); live is False once the key has been
+        # tombstoned by precise invalidation.  Insertion order is the
+        # eviction order.
+        self._entries: Dict[FlowKey, Tuple[bool, Traversal]] = {}
         # flow_id -> keys whose cached traversal contains that entry.
         self._by_entry: Dict[int, Set[FlowKey]] = {}
         # Deterministic LCG state for the insertion coin (no wall-clock
@@ -99,7 +95,7 @@ class ExactMatchCache:
                     del self._by_entry[entry.flow_id]
 
     def _delete(self, key: FlowKey) -> None:
-        _generation, value = self._entries.pop(key)
+        _live, value = self._entries.pop(key)
         self._unlink(key, value)
 
     # -- lookup --------------------------------------------------------------
@@ -107,16 +103,15 @@ class ExactMatchCache:
     def lookup(self, key: FlowKey) -> Optional[Traversal]:
         """Return the cached traversal for ``key`` or None.
 
-        A hit from a previous table generation — or a key tombstoned by
-        precise invalidation — counts as a miss (and is removed); the
-        caller must fall back to the classifier.
+        A key tombstoned by precise invalidation counts as a miss (and
+        is removed); the caller must fall back to the classifier.
         """
         cached = self._entries.get(key)
         if cached is None:
             self.misses += 1
             return None
-        generation, value = cached
-        if generation != self.generation:
+        live, value = cached
+        if not live:
             self._delete(key)
             self.stale_hits += 1
             self.misses += 1
@@ -139,9 +134,9 @@ class ExactMatchCache:
         """Make room: prefer a stale victim within a bounded probe of the
         oldest entries, else sacrifice the oldest live one."""
         victim = None
-        for probed, (key, (generation, _value)) in enumerate(
+        for probed, (key, (live, _value)) in enumerate(
                 self._entries.items()):
-            if generation != self.generation:
+            if not live:
                 victim = key
                 self.stale_evictions += 1
                 break
@@ -153,7 +148,7 @@ class ExactMatchCache:
         self._delete(victim)
 
     def insert(self, key: FlowKey, traversal: Traversal) -> None:
-        """Cache ``key -> traversal`` at the current generation.
+        """Cache ``key -> traversal`` as a live entry.
 
         New keys are subject to the probabilistic-insertion filter;
         refreshing an existing key always succeeds (the flow already
@@ -167,15 +162,11 @@ class ExactMatchCache:
             return
         elif len(self._entries) >= self.capacity:
             self._evict_one()
-        self._entries[key] = (self.generation, traversal)
+        self._entries[key] = (True, traversal)
         self._link(key, traversal)
         self.insertions += 1
 
     # -- invalidation ---------------------------------------------------------
-
-    def invalidate_all(self) -> None:
-        """Invalidate every cached entry (whole-cache generation bump)."""
-        self.generation += 1
 
     def invalidate_entry(self, entry: FlowEntry) -> int:
         """Tombstone every key whose traversal contains ``entry``
@@ -186,9 +177,9 @@ class ExactMatchCache:
         evicted = 0
         for key in list(keys):
             cached = self._entries.get(key)
-            if cached is None or cached[0] != self.generation:
+            if cached is None or not cached[0]:
                 continue  # already stale or collected
-            self._entries[key] = (_TOMBSTONE, cached[1])
+            self._entries[key] = (False, cached[1])
             evicted += 1
         self.precise_evictions += evicted
         return evicted
@@ -197,27 +188,16 @@ class ExactMatchCache:
         """Tombstone every live key that ``match`` covers (a newly added
         rule may now outrank the cached resolution).  Returns the count."""
         evicted = 0
-        for key, (generation, value) in self._entries.items():
-            if generation != self.generation:
-                continue
-            if match.matches(key):
-                self._entries[key] = (_TOMBSTONE, value)
+        for key, (live, value) in self._entries.items():
+            if live and match.matches(key):
+                self._entries[key] = (False, value)
                 evicted += 1
         self.precise_evictions += evicted
         return evicted
 
-    def flush(self) -> None:
-        """Drop storage as well (used when memory accounting matters)."""
-        self._entries.clear()
-        self._by_entry.clear()
-        self.generation += 1
-
     def __len__(self) -> int:
         # Live entries only: stale ones are lazily collected on lookup.
-        return sum(
-            1 for generation, _value in self._entries.values()
-            if generation == self.generation
-        )
+        return sum(1 for live, _value in self._entries.values() if live)
 
     @property
     def occupancy(self) -> float:

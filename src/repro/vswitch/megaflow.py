@@ -309,14 +309,6 @@ class MegaflowCache:
                 return False
         return True
 
-    def flush(self) -> int:
-        """Drop everything (generation-style wipe)."""
-        count = len(self._entries)
-        self._masks.clear()
-        self._entries.clear()
-        self._by_flow.clear()
-        return count
-
     def __repr__(self) -> str:
         return "<MegaflowCache %d/%d entries, %d masks, %d hits>" % (
             len(self._entries), self.capacity, len(self._masks),

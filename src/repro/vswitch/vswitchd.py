@@ -51,7 +51,6 @@ class VSwitchd:
         rxq_assign: str = "roundrobin",
         auto_lb: bool = False,
         auto_lb_policy: AutoLbPolicy = DEFAULT_AUTO_LB_POLICY,
-        bounded_upcalls: bool = True,
         upcall_policy: Optional[UpcallPolicy] = None,
         fail_mode: str = "standalone",
         failmode_policy: Optional[FailModePolicy] = None,
@@ -74,12 +73,9 @@ class VSwitchd:
         # Overload control: bounded upcalls + fail-mode routing.  The
         # fail-mode manager interposes on the upcall handler (it passes
         # through to bridge._upcall while the controller is reachable).
-        self.upcall_queue: Optional[BoundedUpcallQueue] = None
-        if bounded_upcalls or upcall_policy is not None:
-            self.upcall_queue = BoundedUpcallQueue(
-                upcall_policy, clock=clock or (lambda: 0.0)
-            )
-            self.datapath.upcall_queue = self.upcall_queue
+        self.upcall_queue: BoundedUpcallQueue = self.datapath.upcall_queue
+        if upcall_policy is not None:
+            self.upcall_queue.policy = upcall_policy
         self.failmode: Optional[FailModeManager] = None
         if connection is not None:
             self.failmode = FailModeManager(

@@ -5,6 +5,7 @@ The slower ones are run with reduced parameters.
 """
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -40,6 +41,8 @@ class TestExamples:
         load_example("dynamic_rules").main()
         out = capsys.readouterr().out
         assert "lost=0" in out
+        refused = re.search(r"refused=(\d+)", out)
+        assert refused is not None and int(refused.group(1)) > 0
         assert "re-established" in out
 
     def test_service_chain_small(self, capsys, monkeypatch):

@@ -121,7 +121,9 @@ class TestDatapathBranches:
         mbuf = mk_mbuf()
         entry, cost = datapath.classify(mbuf, in_port=1)
         assert entry is None
-        assert cost == datapath.costs.ovs_miss_upcall
+        # A miss charges only the failed walk; the upcall itself is
+        # charged at enqueue and dispatch.
+        assert cost == datapath.costs.ovs_classifier_hit
         mbuf.free()
 
 

@@ -95,14 +95,6 @@ class TestMonitor:
         monitor.iteration()
         assert a.ofport in switch.datapath.rx_shed
 
-    def test_monitor_noop_without_queue(self):
-        switch = build_switch(bounded_upcalls=False,
-                              upcall_policy=None)
-        switch.add_dpdkr_port("dpdkr0")
-        switch.overload.iteration()
-        assert switch.overload.checks_run == 1
-        assert switch.datapath.rx_shed == {}
-
 
 class TestRxEarlyDrop:
     def test_fractional_shed_drops_deterministic_tail(self):

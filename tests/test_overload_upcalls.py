@@ -190,7 +190,7 @@ class TestDatapathIntegration:
         assert conserved(queue, switch.datapath.upcalls_no_match)
         assert switch.datapath.upcalls_no_match == offered
 
-    def test_raw_datapath_keeps_legacy_inline_path(self):
+    def test_raw_datapath_owns_queue_and_dispatches(self):
         from repro.dpdk.dpdkr import DpdkrSharedRings
         from repro.mem.memzone import MemzoneRegistry
         from repro.openflow.table import FlowTable
@@ -202,14 +202,38 @@ class TestDatapathIntegration:
             upcall_handler=lambda m, p, r: (seen.append((p, r)),
                                             m.free()),
         )
-        assert datapath.upcall_queue is None
+        assert isinstance(datapath.upcall_queue, BoundedUpcallQueue)
         rings = DpdkrSharedRings(MemzoneRegistry(), "dpdkr0")
         datapath.add_port(DpdkrOvsPort(1, rings))
         mbuf = mk_mbuf()
         datapath.ports[1].rings.to_switch.enqueue(mbuf)
         datapath.process_ports(list(datapath.ports.values()))
-        # Inline: the handler ran during classification, no queue.
+        # The miss was queued and dispatched by the end of the iteration.
         assert seen == [(1, "no_match")]
+        assert datapath.upcall_queue.dispatched == 1
+        assert datapath.upcall_queue.depth == 0
+        assert mbuf.refcnt == 0
+
+    def test_controller_output_without_handler_is_freed(self):
+        from repro.dpdk.dpdkr import DpdkrSharedRings
+        from repro.mem.memzone import MemzoneRegistry
+        from repro.openflow.actions import ControllerAction
+        from repro.openflow.match import Match
+        from repro.openflow.table import FlowEntry, FlowTable
+        from repro.vswitch.ports import DpdkrOvsPort
+
+        table = FlowTable()
+        datapath = Datapath(table)
+        port = DpdkrOvsPort(1, DpdkrSharedRings(MemzoneRegistry(),
+                                                "dpdkr0"))
+        datapath.add_port(port)
+        table.add(FlowEntry(Match(in_port=1), [ControllerAction()]))
+        mbuf = mk_mbuf()
+        port.rings.to_switch.enqueue(mbuf)
+        datapath.process_ports([port])
+        # No handler: the dispatched packet-in is dropped, not leaked.
+        assert datapath.upcalls_action == 1
+        assert datapath.upcall_queue.dispatched == 1
         assert mbuf.refcnt == 0
 
 
@@ -227,9 +251,3 @@ class TestAppctl:
         assert switch.failmode.mode.value == "secure"
         assert "unknown knob" in appctl.run("overload/set", "nope 1")
         assert "usage" in appctl.run("overload/set", "just-one-token")
-
-    def test_unbounded_switch_reports_legacy_path(self):
-        switch = VSwitchd(connection=ControllerConnection(),
-                          bounded_upcalls=False)
-        text = AppCtl(switch).run("overload/show")
-        assert "unbounded (legacy inline path)" in text

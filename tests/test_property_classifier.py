@@ -68,12 +68,19 @@ def test_classifier_equals_table_lookup(ops):
 @settings(max_examples=100, deadline=None)
 @given(churn)
 def test_emc_backed_lookup_equals_table(ops):
-    """A datapath-style EMC + classifier pipeline, with generation-based
-    invalidation on every change, never serves a stale rule."""
+    """A datapath-style EMC + classifier pipeline, with the datapath's
+    precise invalidation on every change, never serves a stale rule."""
     table = FlowTable()
     classifier = TupleSpaceClassifier(table)
     emc = ExactMatchCache(capacity=8)
-    table.add_listener(lambda _kind, _entry: emc.invalidate_all())
+
+    def invalidate(kind, entry):
+        if kind == "added":
+            emc.invalidate_matching(entry.match)
+        else:
+            emc.invalidate_entry(entry)
+
+    table.add_listener(invalidate)
     for op, match, priority in ops:
         if op == "add":
             table.add(FlowEntry(match, [OutputAction(9)],

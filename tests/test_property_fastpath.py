@@ -217,9 +217,9 @@ churn = st.lists(
 @given(churn)
 def test_precise_invalidation_never_serves_stale(ops):
     """Datapath-style EMC with *precise* (tombstone) invalidation always
-    agrees with the table's linear lookup, like the generation-wipe
-    variant in test_property_classifier.py — but evicting only the keys
-    each flowmod touches."""
+    agrees with the table's linear lookup, evicting only the keys each
+    flowmod touches (test_property_classifier.py runs the same listener
+    with the probabilistic-insertion filter on)."""
     table = FlowTable()
     classifier = TupleSpaceClassifier(table)
     emc = ExactMatchCache(capacity=8, insert_inv_prob=1)

@@ -269,21 +269,6 @@ class TestVectorizedFastPath:
         switch.step_dataplane()
         assert switch.datapath.emc_hits == 1  # a's entry survived
 
-    def test_generation_mode_restores_whole_cache_wipe(self, switch):
-        switch.datapath.emc_invalidation = "generation"
-        a = switch.add_dpdkr_port("dpdkr0")
-        b = switch.add_dpdkr_port("dpdkr1")
-        c = switch.add_dpdkr_port("dpdkr2")
-        add_flow(switch, Match(in_port=a.ofport), [OutputAction(b.ofport)])
-        add_flow(switch, Match(in_port=c.ofport), [OutputAction(b.ofport)])
-        for port in (a, c):
-            port.rings.to_switch.enqueue(mk_mbuf())
-        switch.step_dataplane()
-        switch.bridge.table.delete(Match(in_port=c.ofport))
-        a.rings.to_switch.enqueue(mk_mbuf())
-        switch.step_dataplane()
-        assert switch.datapath.emc_hits == 0  # everything was wiped
-
     def test_batch_upcall_per_packet(self, switch):
         a = switch.add_dpdkr_port("dpdkr0")
         upcalls = []

@@ -29,15 +29,6 @@ class TestEmc:
         assert emc.lookup(k) is flow
         assert emc.hits == 1 and emc.misses == 1
 
-    def test_generation_invalidation(self):
-        emc = ExactMatchCache()
-        k = key()
-        emc.insert(k, entry(Match(in_port=1)))
-        emc.invalidate_all()
-        assert emc.lookup(k) is None
-        assert emc.stale_hits == 1
-        assert len(emc) == 0
-
     def test_eviction_at_capacity(self):
         # insert_inv_prob=1 turns the probabilistic filter off so the
         # eviction path is exercised deterministically.

@@ -153,13 +153,6 @@ class TestMegaflowCacheMechanics:
         # Exact eth_src=0x0211 agrees on it -> overlap.
         assert cache.invalidate_matching(Match(eth_src=0x0211)) == 1
 
-    def test_flush(self):
-        cache = MegaflowCache()
-        cache.insert(make_key(), wc_for(("in_port", 0xFFFF)),
-                     (make_entry(),))
-        assert cache.flush() == 1
-        assert len(cache) == 0 and cache.mask_count == 0
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
             MegaflowCache(capacity=0)
@@ -290,16 +283,6 @@ class TestDatapathIntegration:
         switch.step_dataplane()
         assert switch.datapath.miss_upcalls == 1
         assert len(drain(b.rings.to_guest)) == 2  # the pre-delete pair
-
-    def test_generation_invalidation_flushes_megaflow(self):
-        switch, a, _b = self.setup_switch(smc=False)
-        switch.datapath.emc_invalidation = "generation"
-        for sequence in range(2):
-            a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
-            switch.step_dataplane()
-        assert len(switch.datapath.megaflow) == 1
-        add_flow(switch, Match(in_port=99), [])
-        assert len(switch.datapath.megaflow) == 0
 
     def test_scalar_path_never_consults_megaflow(self):
         switch, a, _b = self.setup_switch(smc=False)
