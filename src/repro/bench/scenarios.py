@@ -499,7 +499,7 @@ SCENARIOS: Dict[str, Scenario] = {
                  "stateful tier: guest VNF vs XFSM datapath vs bypass",
                  _composite("state")),
         Scenario("fastpath_baseline", "fastpath",
-                 "vectorized fast path, EMC invalidation, bypass chains",
+                 "flow-batched fast path, EMC invalidation, bypass chains",
                  _composite("fastpath")),
         Scenario("hot_port_collision", "sched",
                  "PMD rxq scheduling: static vs cycles vs auto-lb",

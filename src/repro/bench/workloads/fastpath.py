@@ -1,5 +1,6 @@
-"""Fast-path benchmark family: vectorized vs scalar, EMC survival under
-rule churn (formerly ``scripts/bench_baseline.py``).
+"""Fast-path benchmark family: flow batches, EMC survival under churn.
+
+Formerly ``scripts/bench_baseline.py``.
 
 Runs a small, deterministic set of workloads and produces one schema-v1
 document (family tag ``repro-bench-fastpath/1``) recording throughput,
@@ -66,16 +67,15 @@ def hit_rate(hits, misses):
     return hits / total if total else 0.0
 
 
-def chain_fastpath(vectorized, duration, flows=64, burst_size=32):
+def chain_fastpath(duration, flows=64, burst_size=32):
     """One vanilla (all hops through OVS) fig3a-style memory chain."""
     experiment = ChainExperiment(
         num_vms=3, bypass=False, memory_only=True, duration=duration,
-        flows=flows, burst_size=burst_size, vectorized=vectorized,
+        flows=flows, burst_size=burst_size,
     )
     result = experiment.run()
     datapath = experiment.node.switch.datapath
     return {
-        "vectorized": vectorized,
         "flows": flows,
         "burst_size": burst_size,
         "throughput_mpps": round(result.throughput_mpps, 4),
@@ -231,21 +231,11 @@ def chain_pair(duration, memory_only, measure):
 
 def run_checks(doc):
     """The baseline invariants; each returns (name, passed, detail)."""
-    fast = doc["workloads"]["fig3a_fastpath"]
-    vec, scalar = fast["vectorized"], fast["scalar"]
     inval = doc["workloads"]["emc_invalidation"]
     fig3b = doc["workloads"]["fig3b_nic_chain"]
     latency = doc["workloads"]["latency_chain"]
     mega = doc["workloads"]["megaflow_rule_scale"]
     checks = [
-        ("vectorized_cycles_per_packet_lower",
-         vec["cycles_per_packet"] < scalar["cycles_per_packet"],
-         "%.2f < %.2f" % (vec["cycles_per_packet"],
-                          scalar["cycles_per_packet"])),
-        ("vectorized_throughput_not_worse",
-         vec["throughput_mpps"] >= scalar["throughput_mpps"],
-         "%.4f >= %.4f" % (vec["throughput_mpps"],
-                           scalar["throughput_mpps"])),
         ("precise_invalidation_only_compulsory_misses",
          inval["precise"]["emc_misses"] == inval["precise"]["flows"],
          "%d misses for %d flows across %d flowmods"
@@ -288,7 +278,7 @@ def run_checks(doc):
 # -- schema -------------------------------------------------------------------
 
 REQUIRED_FASTPATH_KEYS = {
-    "vectorized", "flows", "burst_size", "throughput_mpps",
+    "flows", "burst_size", "throughput_mpps",
     "cycles_per_packet", "emc_hit_rate", "smc_hit_rate",
     "avg_batch_fill", "batch_fill_histogram", "packets_processed",
 }
@@ -311,12 +301,10 @@ def validate(doc):
                  "latency_chain", "megaflow_rule_scale"):
         if name not in workloads:
             problems.append("missing workload %s" % name)
-    fast = workloads.get("fig3a_fastpath", {})
-    for variant in ("vectorized", "scalar"):
-        missing = missing_keys(fast.get(variant), REQUIRED_FASTPATH_KEYS)
-        if missing:
-            problems.append("fig3a_fastpath.%s missing %s"
-                            % (variant, missing))
+    missing = missing_keys(workloads.get("fig3a_fastpath"),
+                           REQUIRED_FASTPATH_KEYS)
+    if missing:
+        problems.append("fig3a_fastpath missing %s" % missing)
     missing = missing_keys(
         workloads.get("emc_invalidation", {}).get("precise"),
         REQUIRED_INVALIDATION_KEYS)
@@ -346,8 +334,8 @@ def trend_metrics(doc):
     latency = doc["workloads"]["latency_chain"]
     mega = doc["workloads"]["megaflow_rule_scale"]
     return {
-        "vec_cycles_per_packet": fast["vectorized"]["cycles_per_packet"],
-        "vec_throughput_mpps": fast["vectorized"]["throughput_mpps"],
+        "vec_cycles_per_packet": fast["cycles_per_packet"],
+        "vec_throughput_mpps": fast["throughput_mpps"],
         "precise_emc_hit_rate": inval["precise"]["emc_hit_rate"],
         "bypass_nic_mpps": fig3b["bypass"]["throughput_mpps"],
         "bypass_latency_us": latency["bypass"]["mean_latency_us"],
@@ -373,12 +361,9 @@ def run_bench(quick, seed=None):
     doc["workloads"] = {}
     workloads = doc["workloads"]
 
-    print("[1/5] fig3a memory chain, vectorized vs scalar "
-          "(3 VMs, 64 flows, burst 32)...", file=sys.stderr)
-    workloads["fig3a_fastpath"] = {
-        "vectorized": chain_fastpath(True, chain_duration),
-        "scalar": chain_fastpath(False, chain_duration),
-    }
+    print("[1/5] fig3a memory chain (3 VMs, 64 flows, burst 32)...",
+          file=sys.stderr)
+    workloads["fig3a_fastpath"] = chain_fastpath(chain_duration)
 
     print("[2/5] EMC invalidation under rolling flowmods...",
           file=sys.stderr)

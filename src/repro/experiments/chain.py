@@ -116,7 +116,6 @@ class ChainExperiment:
         burst_size: int = 32,
         emc_enabled: bool = True,
         megaflow_enabled: bool = True,
-        vectorized: bool = True,
         accounting_enabled: bool = True,
         trace_sample: Optional[int] = None,
         snapshot_period: Optional[float] = None,
@@ -155,7 +154,6 @@ class ChainExperiment:
         self.burst_size = burst_size
         self.emc_enabled = emc_enabled
         self.megaflow_enabled = megaflow_enabled
-        self.vectorized = vectorized
         self.accounting_enabled = accounting_enabled
         self.trace_sample = trace_sample
         self.snapshot_period = snapshot_period
@@ -232,7 +230,6 @@ class ChainExperiment:
         datapath = self.node.switch.datapath
         datapath.burst_size = self.burst_size
         datapath.emc_enabled = self.emc_enabled
-        datapath.vectorized = self.vectorized
         # The A-emc ablation measures life without the caches: disabling
         # the EMC also disables the SMC and the megaflow cache so the
         # classifier takes every hit.  --no-megaflow ablates the

@@ -126,7 +126,7 @@ class Observability:
                     "repro_datapath_batch_fill_total",
                     {"switch": name, "fill": str(fill)},
                     float(count), "counter",
-                    "flow batches by packets-per-batch (vectorized path)",
+                    "flow batches by packets-per-batch",
                 )
 
         self.registry.register_collector(collect_batch_fill)

@@ -194,12 +194,6 @@ class StateTable:
         self.invalidations += len(stale)
         return len(stale)
 
-    def invalidate_all(self) -> int:
-        count = len(self._entries)
-        self._entries.clear()
-        self.invalidations += count
-        return count
-
     def entries(self):
         """Snapshot iteration (appctl ``state/show``)."""
         return list(self._entries.values())

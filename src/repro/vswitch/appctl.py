@@ -154,10 +154,10 @@ def cache_stats(vswitchd: VSwitchd) -> str:
 
 
 def fastpath_show(vswitchd: VSwitchd) -> str:
-    """``appctl dpif/fastpath-show``: the vectorized fast-path view.
+    """``appctl dpif/fastpath-show``: the fast-path view.
 
-    One screen answering "which lookup tier is serving traffic, how full
-    are the flow batches, and is invalidation precise or sledgehammer":
+    One screen answering "which lookup tier is serving traffic and how
+    full are the flow batches":
     EMC / SMC statistics, the dpcls subtable ranking, and the flow-batch
     fill histogram.
     """
@@ -170,9 +170,8 @@ def fastpath_show(vswitchd: VSwitchd) -> str:
     dpcls_hits = (datapath.classifier_hits - datapath.smc_hits
                   - datapath.megaflow_hits)
     lines = [
-        "fast path: %s, burst size %d"
-        % ("vectorized (flow batches)" if datapath.vectorized
-           else "scalar (per-packet)", datapath.burst_size),
+        "fast path: vectorized (flow batches), burst size %d"
+        % datapath.burst_size,
         "lookup tiers: emc=%s smc=%s megaflow=%s invalidation=precise"
         % ("on" if datapath.emc_enabled else "off",
            "on" if datapath.smc_enabled else "off",

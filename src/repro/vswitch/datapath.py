@@ -3,7 +3,7 @@
 One :class:`Datapath` instance is the forwarding engine of a bridge; its
 :meth:`process_ports` is the body of a PMD core's poll iteration.
 
-The default fast path is **vectorized**, modelled on OVS's ``dp_netdev``
+The fast path is **vectorized**, modelled on OVS's ``dp_netdev``
 flow batches: flow keys are computed for the whole received burst up
 front, packets are grouped per distinct key, one lookup resolves every
 packet of a batch, and the combined action list is built once per batch.
@@ -19,12 +19,9 @@ Lookup itself is four-tiered, exactly like OVS-DPDK:
 4. **dpcls** — ranked tuple-space search with goto_table pipeline
    walking (:mod:`repro.vswitch.classifier`).
 
-``vectorized = False`` selects the legacy scalar path (per-packet
-EMC -> classifier resolution and per-packet action dispatch); it is kept
-as the baseline the benchmarks and the equivalence property test compare
-against.  Both paths return the simulated CPU cost of the iteration —
-the quantity that makes the vSwitch a *shared* bottleneck for every
-chain hop in the paper's Figure 3.
+Every poll iteration returns the simulated CPU cost of its work — the
+quantity that makes the vSwitch a *shared* bottleneck for every chain
+hop in the paper's Figure 3.
 """
 
 from typing import Callable, Dict, List, Optional, Tuple
@@ -64,7 +61,6 @@ class Datapath:
         upcall_handler: Optional[UpcallHandler] = None,
         emc_enabled: bool = True,
         burst_size: int = 32,
-        vectorized: bool = True,
         smc_enabled: bool = True,
         megaflow_enabled: bool = True,
     ) -> None:
@@ -76,7 +72,6 @@ class Datapath:
         self.emc_enabled = emc_enabled
         self.smc_enabled = smc_enabled
         self.megaflow_enabled = megaflow_enabled
-        self.vectorized = vectorized
         self.emc = ExactMatchCache()
         self.smc = SignatureMatchCache()
         self.megaflow = MegaflowCache()
@@ -100,10 +95,10 @@ class Datapath:
         self.rx_shed: Dict[int, float] = {}
         self.rx_early_drops: Dict[int, int] = {}
         self._shed_debt: Dict[int, float] = {}
-        # Cumulative fast-path statistics (all count packets, so the
-        # scalar and vectorized paths stay comparable; smc_hits and
-        # megaflow_hits are the subsets of classifier_hits resolved
-        # through a validated hint / a cached wildcard entry).
+        # Cumulative fast-path statistics, all counted in packets (not
+        # flow batches); smc_hits and megaflow_hits are the subsets of
+        # classifier_hits resolved through a validated hint / a cached
+        # wildcard entry.
         self.emc_hits = 0
         self.smc_hits = 0
         self.megaflow_hits = 0
@@ -122,7 +117,7 @@ class Datapath:
         self.xfsm_evaluated = 0
         self.xfsm_drops = 0
         self.xfsm_unknown_drops = 0
-        # Flow-batch statistics (vectorized path only).
+        # Flow-batch statistics.
         self.flow_batches = 0
         self.packets_batched = 0
         self.batch_fill_counts: Dict[int, int] = {}
@@ -320,80 +315,19 @@ class Datapath:
             self.megaflow.insert(key, wc, traversal)
         return traversal, cost, tier
 
-    def classify(self, mbuf: Mbuf, in_port: int,
-                 stages=None) -> "tuple[Optional[tuple], float]":
-        """Resolve one packet through the pipeline (the scalar path).
+    def _resolve_batch(self, key: FlowKey, batch: List[Mbuf],
+                       stages=None) -> "tuple[Optional[tuple], float]":
+        """Resolve one flow batch; one lookup serves every packet.
 
         Returns ``(traversal, cpu cost)`` where traversal is the tuple
         of flow entries matched in pipeline order, or None on a table-0
         miss (upcall).  A miss in a later table, a goto to a missing
         table or a non-increasing goto all terminate the pipeline as an
         OF1.3 drop (the traversal so far is returned; its combined
-        actions produce no output).
-
-        ``stages`` (a :class:`repro.obs.cycles.StageAccounting`) splits
-        the lookup cost between the emc_lookup / classifier_lookup /
-        miss_upcall stages for ``pmd/stats-show``.  The scalar resolver
-        never consults the SMC — that tier belongs to the vectorized
-        path; this one is the pre-batching baseline.
-        """
-        key = cached_flow_key(mbuf, in_port)
-        if self.emc_enabled:
-            traversal = self.emc.lookup(key)
-            if traversal is not None:
-                self.emc_hits += 1
-                if stages is not None:
-                    stages.add("emc_lookup", self.costs.ovs_emc_hit,
-                               packets=1)
-                if mbuf.trace is not None:
-                    mbuf.trace.add(self.clock(), "emc", result="hit")
-                return traversal, self.costs.ovs_emc_hit
-        entries = []
-        table_id = 0
-        cost = 0.0
-        while True:
-            entry = self.classifiers[table_id].lookup(key)
-            cost += self.costs.ovs_classifier_hit
-            if entry is None:
-                if table_id == 0:
-                    self.upcalls_no_match += 1
-                    if mbuf.trace is not None:
-                        mbuf.trace.add(self.clock(), "upcall",
-                                       reason="no_match")
-                    # Only the failed walk is charged here; the enqueue
-                    # and dispatch costs land in _punt and dispatch.
-                    if stages is not None:
-                        stages.add("miss_upcall", cost, packets=1)
-                    return None, cost
-                self.pipeline_drops += 1
-                break
-            entries.append(entry)
-            goto = goto_table_of(entry.actions)
-            if goto is None:
-                break
-            if (goto.table_id <= table_id
-                    or goto.table_id not in self.classifiers):
-                self.pipeline_drops += 1
-                break
-            table_id = goto.table_id
-        self.classifier_hits += 1
-        if stages is not None:
-            stages.add("classifier_lookup", cost, packets=1)
-        if mbuf.trace is not None:
-            mbuf.trace.add(self.clock(), "classifier",
-                           tables=table_id + 1)
-        traversal = tuple(entries)
-        if self.emc_enabled:
-            self.emc.insert(key, traversal)
-        return traversal, cost
-
-    def _resolve_batch(self, key: FlowKey, batch: List[Mbuf],
-                       stages=None) -> "tuple[Optional[tuple], float]":
-        """Resolve one flow batch; one lookup serves every packet.
-
-        Same contract as :meth:`classify`, but counters and stage
-        attribution are bulk-incremented by the batch fill, and the
-        lookup walks all four tiers (EMC -> SMC -> megaflow -> dpcls).
+        actions produce no output).  The lookup walks all four tiers
+        (EMC -> SMC -> megaflow -> dpcls); counters and the ``stages``
+        attribution (a :class:`repro.obs.cycles.StageAccounting`) are
+        bulk-incremented by the batch fill.
         """
         fill = len(batch)
         costs = self.costs
@@ -444,9 +378,9 @@ class Datapath:
         """Run one packet through its rule's XFSM delegations.
 
         Returns ``(cpu cost, allowed)``; a denied (or unresolvable)
-        packet is freed here.  Evaluation is per packet even on the
-        vectorized path: packets of one flow batch share a flow key but
-        not their TCP flags, and a SYN must drive a different
+        packet is freed here.  Evaluation is per packet even though the
+        lookup is per flow batch: packets of one batch share a flow key
+        but not their TCP flags, and a SYN must drive a different
         transition than the ACK behind it.
         """
         from repro.state.xfsm import event_for
@@ -623,52 +557,10 @@ class Datapath:
                 total_cost += costs.ring_op * len(mbufs)
                 if stages is not None:
                     stages.add("actions", costs.ring_op * len(mbufs))
-        if self.vectorized:
-            total_cost += self._process_batched(
-                mbufs, port.ofport, now, output_batches, stages)
-        else:
-            total_cost += self._process_scalar(
-                mbufs, port.ofport, now, output_batches, stages)
+        total_cost += self._process_batched(
+            mbufs, port.ofport, now, output_batches, stages)
         self.packets_processed += len(mbufs)
         return total_cost, len(mbufs)
-
-    def _process_scalar(self, mbufs: List[Mbuf], in_port: int, now: float,
-                        output_batches: Dict[int, List[Mbuf]],
-                        stages=None) -> float:
-        """Legacy per-packet resolution + per-packet action dispatch."""
-        costs = self.costs
-        action_cost = costs.ovs_action_per_packet + costs.ovs_scalar_dispatch
-        total_cost = 0.0
-        for mbuf in mbufs:
-            traversal, lookup_cost = self.classify(mbuf, in_port,
-                                                   stages=stages)
-            total_cost += lookup_cost
-            if traversal is None:
-                total_cost += self._punt(mbuf, in_port, "no_match",
-                                         stages=stages)
-                continue
-            combined = []
-            for entry in traversal:
-                entry.account(1, mbuf.wire_length, now)
-                combined.extend(
-                    action for action in entry.actions
-                    if not isinstance(action, GotoTableAction)
-                )
-            stateful = [action for action in combined
-                        if isinstance(action, XfsmAction)]
-            if stateful:
-                combined = [action for action in combined
-                            if not isinstance(action, XfsmAction)]
-                xfsm_cost, allowed = self._xfsm_packet(
-                    stateful, mbuf, in_port, now, stages=stages)
-                total_cost += xfsm_cost
-                if not allowed:
-                    continue
-            total_cost += action_cost
-            if stages is not None:
-                stages.add("actions", action_cost, packets=1)
-            self.execute_actions(combined, mbuf, in_port, output_batches)
-        return total_cost
 
     def _process_batched(self, mbufs: List[Mbuf], in_port: int, now: float,
                          output_batches: Dict[int, List[Mbuf]],

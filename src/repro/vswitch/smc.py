@@ -66,9 +66,6 @@ class SignatureMatchCache:
         slot[index] = signature
         self.insertions += 1
 
-    def flush(self) -> None:
-        self._slots.clear()
-
     def __len__(self) -> int:
         return len(self._slots)
 

@@ -113,18 +113,28 @@ class TestDatapathBranches:
         assert len(c.rings.to_guest) == 1
         assert switch.datapath.emc.stale_hits >= 1
 
-    def test_classify_cost_reported(self):
-        from repro.vswitch.datapath import Datapath
+    def test_miss_cost_reported(self):
+        from repro.dpdk.dpdkr import DpdkrSharedRings
+        from repro.mem.memzone import MemzoneRegistry
         from repro.openflow.table import FlowTable
+        from repro.vswitch.datapath import Datapath
+        from repro.vswitch.ports import DpdkrOvsPort
 
         datapath = Datapath(FlowTable())
+        port = DpdkrOvsPort(1, DpdkrSharedRings(MemzoneRegistry(),
+                                                "dpdkr0"))
+        datapath.add_port(port)
         mbuf = mk_mbuf()
-        entry, cost = datapath.classify(mbuf, in_port=1)
-        assert entry is None
-        # A miss charges only the failed walk; the upcall itself is
-        # charged at enqueue and dispatch.
-        assert cost == datapath.costs.ovs_classifier_hit
-        mbuf.free()
+        port.rings.to_switch.enqueue(mbuf)
+        cost = datapath.process_ports([port])
+        costs = datapath.costs
+        # A miss is charged the failed walk, then the enqueue, then the
+        # slow-path dispatch at the end of the iteration.
+        assert cost == (costs.burst_overhead + costs.ring_op
+                        + costs.ovs_classifier_hit + costs.upcall_enqueue
+                        + costs.ovs_miss_upcall)
+        assert datapath.miss_upcalls == 1
+        assert mbuf.refcnt == 0  # no handler: dispatched and freed
 
 
 class TestNodeConveniences:

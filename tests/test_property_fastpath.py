@@ -1,10 +1,14 @@
-"""Property: the vectorized (flow-batched) fast path is observationally
-equivalent to the legacy scalar per-packet path.
+"""Property: the flow-batched, four-tier-cached fast path is
+observationally equivalent to an uncached per-packet classifier walk.
 
-Two identical switches — one ``vectorized``, one not — are driven with
-the same random interleaving of traffic bursts (with duplicate flows per
-burst), flowmods between bursts, and set-field rewrites mid-burst, then
-compared:
+Two identical switches are driven with the same random interleaving of
+traffic bursts (with duplicate flows per burst), flowmods between
+bursts, and set-field rewrites mid-burst.  The switch under test runs
+the fast path as deployed: whole bursts per iteration, EMC, SMC and
+megaflow on.  The reference runs the same datapath with every cache
+tier off and one packet per ``step_dataplane()``, so every packet is
+resolved by its own tuple-space walk and no flow batch ever holds more
+than one packet.  The two are then compared:
 
 * every output port delivered the same multiset of packets, with the
   same final header contents;
@@ -14,15 +18,16 @@ compared:
 * per-rule packet/byte accounting agrees;
 * aggregate datapath counters (packets processed, upcalls, pipeline
   drops, resolved packets) agree.  The per-tier split (EMC vs SMC vs
-  classifier hits) intentionally differs — the SMC tier only exists on
-  the vectorized path — but the totals must not.
+  megaflow vs plain classifier hits) intentionally differs — the
+  reference serves every packet from the classifier — but the totals
+  must not.
 
 A second property pins down precise EMC invalidation: a datapath-style
 EMC whose listener tombstones only the affected keys never serves a
 stale rule, agreeing with the linear table lookup under churn.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.openflow.actions import OutputAction, SetFieldAction
@@ -71,10 +76,15 @@ ops_strategy = st.lists(
 class Harness:
     """One switch plus the bookkeeping to replay and observe a run."""
 
-    def __init__(self, vectorized: bool) -> None:
+    def __init__(self, per_packet: bool) -> None:
         self.switch = VSwitchd(name="br-%s"
-                               % ("vec" if vectorized else "scalar"))
-        self.switch.datapath.vectorized = vectorized
+                               % ("ref" if per_packet else "fast"))
+        self.per_packet = per_packet
+        if per_packet:
+            datapath = self.switch.datapath
+            datapath.emc_enabled = False
+            datapath.smc_enabled = False
+            datapath.megaflow_enabled = False
         self.ports = [self.switch.add_dpdkr_port(name)
                       for name in PORT_NAMES]
         self.entries = []       # parallel across harnesses
@@ -120,7 +130,10 @@ class Harness:
                 self.mbufs.append(mbuf)
                 self.seq_of[id(mbuf)] = seq_base + offset
                 rx.rings.to_switch.enqueue(mbuf)
-            self.switch.step_dataplane()
+                if self.per_packet:
+                    self.switch.step_dataplane()
+            if not self.per_packet:
+                self.switch.step_dataplane()
             self.collect()
 
     def collect(self) -> None:
@@ -134,43 +147,48 @@ class Harness:
 
 @settings(max_examples=60, deadline=None)
 @given(ops_strategy)
-def test_vectorized_path_equals_scalar_path(ops):
-    scalar = Harness(vectorized=False)
-    vector = Harness(vectorized=True)
+# A higher-priority rule covering an already-cached flow: a cache tier
+# that kept serving the old resolution would diverge from the walk.
+@example([("add", 0, None, "out", 1, 10), ("burst", 0, [0]),
+          ("add", None, 0, "out", 2, 20), ("burst", 0, [0])])
+def test_cached_batched_path_equals_uncached_per_packet_walk(ops):
+    ref = Harness(per_packet=True)
+    fast = Harness(per_packet=False)
     seq = 0
     for op in ops:
-        scalar.apply(op, seq)
-        vector.apply(op, seq)
+        ref.apply(op, seq)
+        fast.apply(op, seq)
         if op[0] == "burst":
             seq += len(op[2])
 
     for name in PORT_NAMES:
-        got_scalar = scalar.delivered[name]
-        got_vector = vector.delivered[name]
+        got_ref = ref.delivered[name]
+        got_fast = fast.delivered[name]
         # Same packets with the same final headers (multiset equality).
-        assert sorted(got_scalar) == sorted(got_vector)
+        assert sorted(got_ref) == sorted(got_fast)
         # Per-flow order preserved (flow = original UDP source port;
         # set-field only rewrites the destination).
         for flow in FLOW_SRC_PORTS:
-            assert [rec for rec in got_scalar if rec[1] == flow] \
-                == [rec for rec in got_vector if rec[1] == flow]
+            assert [rec for rec in got_ref if rec[1] == flow] \
+                == [rec for rec in got_fast if rec[1] == flow]
 
-    dp_scalar = scalar.switch.datapath
-    dp_vector = vector.switch.datapath
-    assert dp_scalar.packets_processed == dp_vector.packets_processed
-    assert dp_scalar.miss_upcalls == dp_vector.miss_upcalls
-    assert dp_scalar.pipeline_drops == dp_vector.pipeline_drops
+    dp_ref = ref.switch.datapath
+    dp_fast = fast.switch.datapath
+    assert dp_ref.packets_processed == dp_fast.packets_processed
+    assert dp_ref.miss_upcalls == dp_fast.miss_upcalls
+    assert dp_ref.pipeline_drops == dp_fast.pipeline_drops
     # Resolved packets agree even though the tier split differs.
-    assert (dp_scalar.emc_hits + dp_scalar.classifier_hits
-            == dp_vector.emc_hits + dp_vector.classifier_hits)
-    assert dp_scalar.smc_hits == 0  # the scalar path has no SMC tier
+    assert (dp_ref.emc_hits + dp_ref.classifier_hits
+            == dp_fast.emc_hits + dp_fast.classifier_hits)
+    # The reference resolved every packet by its own classifier walk.
+    assert dp_ref.emc_hits == dp_ref.smc_hits == dp_ref.megaflow_hits == 0
 
     # Per-rule accounting: rules were installed in lockstep, so the
     # parallel entry lists line up pairwise.
-    assert len(scalar.entries) == len(vector.entries)
-    for entry_s, entry_v in zip(scalar.entries, vector.entries):
-        assert entry_s.packet_count == entry_v.packet_count
-        assert entry_s.byte_count == entry_v.byte_count
+    assert len(ref.entries) == len(fast.entries)
+    for entry_r, entry_f in zip(ref.entries, fast.entries):
+        assert entry_r.packet_count == entry_f.packet_count
+        assert entry_r.byte_count == entry_f.byte_count
 
 
 # -- precise invalidation property -----------------------------------------

@@ -92,7 +92,9 @@ def test_pinned_ports_land_on_their_core_under_group(scenario):
     scenario = dict(scenario, policy="group")
     scheduler, ports = _build(scenario)
     scheduler.rebalance()
-    for ofport, core in scenario["pins"]:
-        if core < scheduler.n_cores and \
-                scheduler.core_of(ofport) is not None:
+    # pin() overrides: a port pinned twice ends up on its last pin.
+    effective = {ofport: core for ofport, core in scenario["pins"]
+                 if core < scheduler.n_cores}
+    for ofport, core in effective.items():
+        if scheduler.core_of(ofport) is not None:
             assert scheduler.core_of(ofport) == core

@@ -2,8 +2,8 @@
 
 A rule whose actions are ``[xfsm:<program>, output:N]`` delegates its
 packets to a registered XFSM program before forwarding.  These tests
-pin the execution semantics on both the scalar and the vectorized
-path (per-*packet* evaluation even inside a flow batch), the
+pin the execution semantics on the flow-batched fast path
+(per-*packet* evaluation even inside a flow batch), the
 fail-closed handling of unknown programs, the ``xfsm_exec`` stage
 accounting and cost-model constant, the ``xfsm`` trace hop, precise
 state invalidation on rule removal, and the ``state/show`` appctl and
@@ -48,10 +48,8 @@ def reply_mbuf(flags=Tcp.ACK, src_port=80, dst_port=40000):
 class Harness:
     """Inside port -> outside port, both directions firewalled."""
 
-    def __init__(self, vectorized=False, program=None,
-                 register=True):
+    def __init__(self, program=None, register=True):
         self.switch = VSwitchd(name="br-state")
-        self.switch.datapath.vectorized = vectorized
         self.inside = self.switch.add_dpdkr_port("in0")
         self.outside = self.switch.add_dpdkr_port("out0")
         self.program = program or firewall_program()
@@ -119,8 +117,8 @@ class TestDatapathExecution:
     def test_vectorized_batch_evaluates_per_packet(self):
         """A flow batch shares one lookup but not its verdicts: the SYN
         and the ACK behind it drive *different* transitions, so the
-        machine must run per packet even on the vectorized path."""
-        h = Harness(vectorized=True)
+        machine must run per packet even inside a flow batch."""
+        h = Harness()
         h.send(h.inside, [tcp_mbuf(Tcp.SYN), tcp_mbuf(Tcp.ACK)])
         assert len(h.delivered(h.outside)) == 2
         assert h.switch.datapath.xfsm_evaluated == 2
@@ -130,7 +128,7 @@ class TestDatapathExecution:
         assert entry.state == "ESTABLISHED"
 
     def test_vectorized_batch_drops_are_selective(self):
-        h = Harness(vectorized=True)
+        h = Harness()
         h.send(h.inside, [tcp_mbuf(Tcp.SYN)])
         h.delivered(h.outside)
         # One batch from outside: the legit reply and two strangers.

@@ -132,14 +132,13 @@ class TestStateTable:
         assert table.lookup(key(src_port=2), 0.1) is not None
         assert table.invalidations == 1
 
-    def test_invalidate_all_and_delete(self):
+    def test_delete(self):
         table = StateTable(capacity=8, lookup_scope=exact_scope)
         table.update(key(src_port=1), "A", 0.0)
         table.update(key(src_port=2), "B", 0.0)
         assert table.delete(key(src_port=1)) is True
         assert table.delete(key(src_port=1)) is False
-        assert table.invalidate_all() == 1
-        assert len(table) == 0
+        assert len(table) == 1
 
     def test_entries_snapshot(self):
         table = StateTable(capacity=8, lookup_scope=exact_scope)

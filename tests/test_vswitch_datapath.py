@@ -207,7 +207,7 @@ class TestVectorizedFastPath:
             a.rings.to_switch.enqueue(mk_mbuf(src_port=1000))
         switch.step_dataplane()
         # One classifier resolution served all 8 packets; counters
-        # still count packets so the scalar path stays comparable.
+        # still count packets, not flow batches.
         assert switch.datapath.classifier_hits == 8
         assert switch.datapath.classifier.lookups == 1
         assert len(drain(b.rings.to_guest)) == 8
@@ -280,30 +280,3 @@ class TestVectorizedFastPath:
         switch.step_dataplane()
         assert switch.datapath.miss_upcalls == 3
         assert upcalls == ["no_match"] * 3
-
-    def test_scalar_mode_still_available(self):
-        switch = VSwitchd()
-        switch.datapath.vectorized = False
-        a = switch.add_dpdkr_port("dpdkr0")
-        b = switch.add_dpdkr_port("dpdkr1")
-        add_flow(switch, Match(in_port=a.ofport), [OutputAction(b.ofport)])
-        for _ in range(4):
-            a.rings.to_switch.enqueue(mk_mbuf())
-        switch.step_dataplane()
-        datapath = switch.datapath
-        assert datapath.flow_batches == 0  # no batching on this path
-        assert datapath.emc_hits == 3 and datapath.classifier_hits == 1
-        assert len(drain(b.rings.to_guest)) == 4
-
-    def test_batched_iteration_cheaper_than_scalar(self):
-        def run(vectorized):
-            switch = VSwitchd()
-            switch.datapath.vectorized = vectorized
-            a = switch.add_dpdkr_port("dpdkr0")
-            switch.add_dpdkr_port("dpdkr1")
-            add_flow(switch, Match(in_port=a.ofport), [OutputAction(2)])
-            for _ in range(32):
-                a.rings.to_switch.enqueue(mk_mbuf(src_port=1000))
-            return switch.step_dataplane()
-
-        assert run(True) < run(False)

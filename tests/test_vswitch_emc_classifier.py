@@ -337,11 +337,3 @@ class TestSmc:
             SignatureMatchCache(capacity=12)
         with pytest.raises(ValueError):
             SignatureMatchCache(capacity=0)
-
-    def test_flush(self):
-        from repro.vswitch.smc import SignatureMatchCache
-
-        smc = SignatureMatchCache(capacity=16)
-        smc.insert(key(), frozenset([("in_port", 0xFFFFFFFF)]))
-        smc.flush()
-        assert len(smc) == 0 and smc.probe(key()) is None

@@ -284,14 +284,6 @@ class TestDatapathIntegration:
         assert switch.datapath.miss_upcalls == 1
         assert len(drain(b.rings.to_guest)) == 2  # the pre-delete pair
 
-    def test_scalar_path_never_consults_megaflow(self):
-        switch, a, _b = self.setup_switch(smc=False)
-        switch.datapath.vectorized = False
-        for sequence in range(3):
-            a.rings.to_switch.enqueue(new_flow_mbuf(sequence))
-            switch.step_dataplane()
-        assert switch.datapath.megaflow_hits == 0
-
 
 class TestAppctlSurface:
     def test_fastpath_show_waterfall_and_megaflow_rows(self):
